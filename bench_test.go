@@ -5,6 +5,7 @@
 //     Plain / PK / BDCC (Figure 2); reports modeled device ms and bytes.
 //   - BenchmarkFig3Memory — per-query peak memory (Figure 3); reports peak
 //     bytes of operator state.
+//   - BenchmarkPlan — planning time and allocations per query and scheme.
 //   - BenchmarkTableDimensions — Algorithm 2 design derivation (the
 //     "dimensions" and "dimension uses" tables); reports dimensions found.
 //   - BenchmarkOtherOrderings — automatic Z-order vs hand-tuned major-minor
@@ -75,7 +76,7 @@ func fixture(b *testing.B) *tpch.Benchmark {
 // under the three schemes. The benchmark time is the wall (CPU) time; the
 // modeled device milliseconds and megabytes are attached as metrics, since
 // the paper's cold runs are I/O-bound and ours are CPU-bound at laptop
-// scale (see EXPERIMENTS.md).
+// scale (see perfbench/README.md).
 func BenchmarkFig2ExecutionTime(b *testing.B) {
 	bench := fixture(b)
 	for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
@@ -115,6 +116,35 @@ func BenchmarkFig3Memory(b *testing.B) {
 					peakMB = float64(st.PeakMem) / (1 << 20)
 				}
 				b.ReportMetric(peakMB, "peak-MB")
+			})
+		}
+	}
+}
+
+// BenchmarkPlan measures planning alone, per query and scheme: each
+// iteration builds the query's logical plan untimed (running its scalar
+// subqueries and views) and times Planner.Plan over it, which includes the
+// BDCC planner's pre-executed key-set propagation. Iterations after the
+// first reuse the database version's value→bin index, as warm queries do.
+func BenchmarkPlan(b *testing.B) {
+	bench := fixture(b)
+	for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
+		db := bench.DBs[scheme]
+		for _, q := range tpch.Queries {
+			b.Run(scheme.String()+"/"+q.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					env := tpch.NewEnv(db)
+					node, err := q.Build(env)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := plan.NewPlanner(env.DB, env.Ctx).Plan(node); err != nil {
+						b.Fatal(err)
+					}
+				}
 			})
 		}
 	}

@@ -9,6 +9,8 @@ package expr
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"bdcc/internal/vector"
 )
@@ -220,32 +222,79 @@ func (c *Cmp) Kind() vector.Kind { return vector.Int64 }
 // String implements Expr.
 func (c *Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
 
-// Eval implements Expr.
+// Eval implements Expr. Column operands are read in place and constants
+// are compared directly; only computed operands are evaluated into scratch.
 func (c *Cmp) Eval(b *vector.Batch, out *vector.Vector) {
-	lv := NewScratch(c.L.Kind())
-	rv := NewScratch(c.R.Kind())
-	c.L.Eval(b, lv)
-	c.R.Eval(b, rv)
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		cmp := lv.Compare(i, rv, i)
-		var r bool
-		switch c.Op {
-		case EQ:
-			r = cmp == 0
-		case NE:
-			r = cmp != 0
-		case LT:
-			r = cmp < 0
-		case LE:
-			r = cmp <= 0
-		case GT:
-			r = cmp > 0
-		case GE:
-			r = cmp >= 0
-		}
-		out.I64 = append(out.I64, b2i(r))
+	op, l, r := c.Op, c.L, c.R
+	if _, ok := l.(*Const); ok {
+		// k op x holds exactly when x flip(op) k: Compare is antisymmetric.
+		op, l, r = flip(op), r, l
 	}
+	lv, lOwned := operand(l, b)
+	if k, ok := r.(*Const); ok {
+		// A constant is a one-value column broadcast over every row.
+		switch lv.Kind {
+		case vector.Int64:
+			out.I64 = compare(op, lv.I64, []int64{k.I}, 0, out.I64, false)
+		case vector.Float64:
+			out.I64 = compare(op, lv.F64, []float64{k.F}, 0, out.I64, true)
+		case vector.String:
+			out.I64 = compare(op, lv.Str, []string{k.S}, 0, out.I64, false)
+		}
+	} else {
+		rv, rOwned := operand(r, b)
+		switch lv.Kind {
+		case vector.Int64:
+			out.I64 = compare(op, lv.I64, rv.I64, -1, out.I64, false)
+		case vector.Float64:
+			out.I64 = compare(op, lv.F64, rv.F64, -1, out.I64, true)
+		case vector.String:
+			out.I64 = compare(op, lv.Str, rv.Str, -1, out.I64, false)
+		}
+		release(rv, rOwned)
+	}
+	release(lv, lOwned)
+}
+
+type ordered interface{ int64 | float64 | string }
+
+// compare appends (l[i] op r[i&mask]) for every row to out: mask -1 pairs
+// the rows of two columns, mask 0 compares every row with r[0]. Results
+// follow Vector.Compare: a pair that is neither less nor greater compares
+// equal, which with nan set makes a NaN equal to everything.
+func compare[T ordered](op CmpOp, l, r []T, mask int, out []int64, nan bool) []int64 {
+	n := len(out)
+	out = slices.Grow(out, len(l))[:n+len(l)]
+	dst := out[n:]
+	switch op {
+	case EQ:
+		for i, v := range l {
+			w := r[i&mask]
+			dst[i] = b2i(v == w || nan && (v != v || w != w))
+		}
+	case NE:
+		for i, v := range l {
+			w := r[i&mask]
+			dst[i] = b2i(!(v == w || nan && (v != v || w != w)))
+		}
+	case LT:
+		for i, v := range l {
+			dst[i] = b2i(v < r[i&mask])
+		}
+	case LE:
+		for i, v := range l {
+			dst[i] = b2i(!(v > r[i&mask]))
+		}
+	case GT:
+		for i, v := range l {
+			dst[i] = b2i(v > r[i&mask])
+		}
+	case GE:
+		for i, v := range l {
+			dst[i] = b2i(!(v < r[i&mask]))
+		}
+	}
+	return out
 }
 
 // And is an n-ary conjunction.
@@ -261,22 +310,7 @@ func (a *And) Kind() vector.Kind { return vector.Int64 }
 func (a *And) String() string { return nary("AND", a.Args) }
 
 // Eval implements Expr.
-func (a *And) Eval(b *vector.Batch, out *vector.Vector) {
-	n := b.Len()
-	acc := make([]int64, n)
-	for i := range acc {
-		acc[i] = 1
-	}
-	tmp := NewScratch(vector.Int64)
-	for _, arg := range a.Args {
-		tmp.Reset()
-		arg.Eval(b, tmp)
-		for i := 0; i < n; i++ {
-			acc[i] &= tmp.I64[i]
-		}
-	}
-	out.I64 = append(out.I64, acc...)
-}
+func (a *And) Eval(b *vector.Batch, out *vector.Vector) { fold(a.Args, b, out, false) }
 
 // Or is an n-ary disjunction.
 type Or struct{ Args []Expr }
@@ -291,18 +325,42 @@ func (o *Or) Kind() vector.Kind { return vector.Int64 }
 func (o *Or) String() string { return nary("OR", o.Args) }
 
 // Eval implements Expr.
-func (o *Or) Eval(b *vector.Batch, out *vector.Vector) {
-	n := b.Len()
-	acc := make([]int64, n)
-	tmp := NewScratch(vector.Int64)
-	for _, arg := range o.Args {
-		tmp.Reset()
-		arg.Eval(b, tmp)
+func (o *Or) Eval(b *vector.Batch, out *vector.Vector) { fold(o.Args, b, out, true) }
+
+// fold appends the row-wise AND (or, with or set, the OR) of args to out,
+// accumulating in place from out's entry length: each argument appends its
+// values behind the running result, which absorbs and drops them again.
+// AND starts from all ones and OR from all zeros, so a non-0/1 argument
+// folds exactly as bitwise arithmetic says.
+func fold(args []Expr, b *vector.Batch, out *vector.Vector, or bool) {
+	start, n := len(out.I64), b.Len()
+	if len(args) == 0 {
 		for i := 0; i < n; i++ {
-			acc[i] |= tmp.I64[i]
+			out.I64 = append(out.I64, b2i(!or))
+		}
+		return
+	}
+	args[0].Eval(b, out)
+	if !or {
+		acc := out.I64[start:]
+		for i := range acc {
+			acc[i] &= 1
 		}
 	}
-	out.I64 = append(out.I64, acc...)
+	for _, arg := range args[1:] {
+		arg.Eval(b, out)
+		acc, vs := out.I64[start:start+n], out.I64[start+n:]
+		if or {
+			for i, v := range vs {
+				acc[i] |= v
+			}
+		} else {
+			for i, v := range vs {
+				acc[i] &= v
+			}
+		}
+		out.I64 = out.I64[:start+n]
+	}
 }
 
 // Not negates a boolean expression.
@@ -319,10 +377,11 @@ func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.Arg) }
 
 // Eval implements Expr.
 func (n *Not) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(vector.Int64)
-	n.Arg.Eval(b, tmp)
-	for _, v := range tmp.I64 {
-		out.I64 = append(out.I64, 1-v)
+	start := len(out.I64)
+	n.Arg.Eval(b, out)
+	vs := out.I64[start:]
+	for i, v := range vs {
+		vs[i] = 1 - v
 	}
 }
 
@@ -343,58 +402,68 @@ func (a *Arith) Kind() vector.Kind { return a.kind }
 // String implements Expr.
 func (a *Arith) String() string { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R) }
 
-// Eval implements Expr.
+// Eval implements Expr. The left operand is evaluated straight into out and
+// combined there with the right one.
 func (a *Arith) Eval(b *vector.Batch, out *vector.Vector) {
-	n := b.Len()
 	if a.kind == vector.Int64 {
-		lv, rv := NewScratch(vector.Int64), NewScratch(vector.Int64)
-		a.L.Eval(b, lv)
-		a.R.Eval(b, rv)
-		for i := 0; i < n; i++ {
-			var v int64
-			switch a.Op {
-			case Add:
-				v = lv.I64[i] + rv.I64[i]
-			case Sub:
-				v = lv.I64[i] - rv.I64[i]
-			case Mul:
-				v = lv.I64[i] * rv.I64[i]
-			case Div:
-				v = lv.I64[i] / rv.I64[i]
-			}
-			out.I64 = append(out.I64, v)
-		}
+		start := len(out.I64)
+		a.L.Eval(b, out)
+		rv, owned := operand(a.R, b)
+		arith(a.Op, out.I64[start:], rv.I64)
+		release(rv, owned)
 		return
 	}
-	lf := evalAsFloat(a.L, b)
-	rf := evalAsFloat(a.R, b)
-	for i := 0; i < n; i++ {
-		var v float64
-		switch a.Op {
-		case Add:
-			v = lf[i] + rf[i]
-		case Sub:
-			v = lf[i] - rf[i]
-		case Mul:
-			v = lf[i] * rf[i]
-		case Div:
-			v = lf[i] / rf[i]
+	start := len(out.F64)
+	evalFloat(a.L, b, out)
+	rv, owned := floatOperand(a.R, b)
+	arith(a.Op, out.F64[start:], rv.F64)
+	release(rv, owned)
+}
+
+// arith computes acc[i] op= r[i].
+func arith[T int64 | float64](op ArithOp, acc, r []T) {
+	r = r[:len(acc)]
+	switch op {
+	case Add:
+		for i := range acc {
+			acc[i] += r[i]
 		}
-		out.F64 = append(out.F64, v)
+	case Sub:
+		for i := range acc {
+			acc[i] -= r[i]
+		}
+	case Mul:
+		for i := range acc {
+			acc[i] *= r[i]
+		}
+	case Div:
+		for i := range acc {
+			acc[i] /= r[i]
+		}
 	}
 }
 
-func evalAsFloat(e Expr, b *vector.Batch) []float64 {
-	tmp := NewScratch(e.Kind())
-	e.Eval(b, tmp)
+// evalFloat appends the values of numeric e to the Float64 vector out.
+func evalFloat(e Expr, b *vector.Batch, out *vector.Vector) {
 	if e.Kind() == vector.Float64 {
-		return tmp.F64
+		e.Eval(b, out)
+		return
 	}
-	fs := make([]float64, len(tmp.I64))
-	for i, v := range tmp.I64 {
-		fs[i] = float64(v)
+	iv, owned := operand(e, b)
+	for _, v := range iv.I64 {
+		out.F64 = append(out.F64, float64(v))
 	}
-	return fs
+	release(iv, owned)
+}
+
+// floatOperand is operand for numeric e, converted to Float64.
+func floatOperand(e Expr, b *vector.Batch) (*vector.Vector, bool) {
+	if e.Kind() == vector.Float64 {
+		return operand(e, b)
+	}
+	fv := getScratch(vector.Float64)
+	evalFloat(e, b, fv)
+	return fv, true
 }
 
 // Case is CASE WHEN cond THEN a ELSE b END. Then and Else must share a kind.
@@ -417,20 +486,19 @@ func (c *Case) String() string {
 
 // Eval implements Expr.
 func (c *Case) Eval(b *vector.Batch, out *vector.Vector) {
-	cond := NewScratch(vector.Int64)
-	c.When.Eval(b, cond)
-	tv := NewScratch(c.Then.Kind())
-	ev := NewScratch(c.Else.Kind())
-	c.Then.Eval(b, tv)
-	c.Else.Eval(b, ev)
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		if cond.I64[i] != 0 {
+	cond, co := operand(c.When, b)
+	tv, to := operand(c.Then, b)
+	ev, eo := operand(c.Else, b)
+	for i, x := range cond.I64 {
+		if x != 0 {
 			out.AppendFrom(tv, i)
 		} else {
 			out.AppendFrom(ev, i)
 		}
 	}
+	release(cond, co)
+	release(tv, to)
+	release(ev, eo)
 }
 
 // Year extracts the calendar year from a date (Int64 day number) expression.
@@ -447,10 +515,11 @@ func (y *Year) String() string { return fmt.Sprintf("YEAR(%s)", y.Arg) }
 
 // Eval implements Expr.
 func (y *Year) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(vector.Int64)
-	y.Arg.Eval(b, tmp)
-	for _, d := range tmp.I64 {
-		out.I64 = append(out.I64, vector.DateYear(d))
+	start := len(out.I64)
+	y.Arg.Eval(b, out)
+	ds := out.I64[start:]
+	for i, d := range ds {
+		ds[i] = vector.DateYear(d)
 	}
 }
 
@@ -476,9 +545,10 @@ func (s *Substr) String() string {
 
 // Eval implements Expr.
 func (s *Substr) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(vector.String)
-	s.Arg.Eval(b, tmp)
-	for _, v := range tmp.Str {
+	start := len(out.Str)
+	s.Arg.Eval(b, out)
+	vs := out.Str[start:]
+	for i, v := range vs {
 		lo := s.Start - 1
 		if lo < 0 {
 			lo = 0
@@ -490,7 +560,7 @@ func (s *Substr) Eval(b *vector.Batch, out *vector.Vector) {
 		if hi > len(v) {
 			hi = len(v)
 		}
-		out.Str = append(out.Str, v[lo:hi])
+		vs[i] = v[lo:hi]
 	}
 }
 
@@ -523,8 +593,7 @@ func (in *InList) String() string {
 
 // Eval implements Expr.
 func (in *InList) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(in.Arg.Kind())
-	in.Arg.Eval(b, tmp)
+	tmp, owned := operand(in.Arg, b)
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		hit := false
@@ -543,6 +612,7 @@ func (in *InList) Eval(b *vector.Batch, out *vector.Vector) {
 		}
 		out.I64 = append(out.I64, b2i(hit != in.Negate))
 	}
+	release(tmp, owned)
 }
 
 // Between is lo <= arg AND arg <= hi, as a single analyzable node.
@@ -553,6 +623,39 @@ func Between(arg Expr, lo, hi Expr) Expr {
 // NewScratch returns an empty scratch vector of kind k sized for one batch.
 func NewScratch(k vector.Kind) *vector.Vector {
 	return vector.NewVector(k, vector.BatchSize)
+}
+
+// scratchPools hold, per kind, the vectors computed operands are evaluated
+// into for the span of one Eval. Morsel workers share one expression tree,
+// so scratch cannot live on the nodes.
+var scratchPools [vector.String + 1]sync.Pool
+
+func getScratch(k vector.Kind) *vector.Vector {
+	if v, _ := scratchPools[k].Get().(*vector.Vector); v != nil {
+		return v
+	}
+	return NewScratch(k)
+}
+
+// operand returns the values of e over b: the batch's own vector when e is
+// a column reference, else a pooled scratch vector (owned reports which),
+// to be handed back through release.
+func operand(e Expr, b *vector.Batch) (v *vector.Vector, owned bool) {
+	if c, ok := e.(*Col); ok {
+		return b.Cols[c.Index], false
+	}
+	v = getScratch(e.Kind())
+	e.Eval(b, v)
+	return v, true
+}
+
+func release(v *vector.Vector, owned bool) {
+	if !owned {
+		return
+	}
+	clear(v.Str)
+	v.Reset()
+	scratchPools[v.Kind].Put(v)
 }
 
 func b2i(b bool) int64 {

@@ -37,12 +37,12 @@ func (l *Like) String() string {
 
 // Eval implements Expr.
 func (l *Like) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(vector.String)
-	l.Arg.Eval(b, tmp)
+	tmp, owned := operand(l.Arg, b)
 	segs, anchoredStart, anchoredEnd := compileLike(l.Pattern)
 	for _, s := range tmp.Str {
 		out.I64 = append(out.I64, b2i(matchLike(s, segs, anchoredStart, anchoredEnd) != l.Negate))
 	}
+	release(tmp, owned)
 }
 
 // likeSeg is one literal segment between % wildcards; runes '_' inside a

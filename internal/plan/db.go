@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"bdcc/internal/catalog"
 	"bdcc/internal/core"
@@ -57,6 +58,9 @@ type DB struct {
 	ing *Ingest
 	// snap marks a pinned snapshot copy and carries its version metadata.
 	snap *snapState
+	// bins is the loaded base version's value→bin index; a pinned snapshot
+	// uses its snapState's instead.
+	bins atomic.Pointer[binIndex]
 }
 
 // NewPlainDB wraps insertion-order tables as the plain scheme.

@@ -70,6 +70,8 @@ type snapState struct {
 	clustered  *core.Database
 	deltaRows  map[string]int
 	totalDelta int64
+	// bins is this version's value→bin index, filled lazily by planners.
+	bins binIndex
 }
 
 // EnableIngest attaches an empty ingest state to the DB and returns it.
@@ -127,11 +129,10 @@ func (db *DB) Snapshot() *DB {
 	if s == nil {
 		return db
 	}
-	c := *db
-	c.Tables = s.tables
-	c.Clustered = s.clustered
-	c.snap = s
-	return &c
+	return &DB{
+		Scheme: db.Scheme, Schema: db.Schema, Tables: s.tables, SortedBy: db.SortedBy,
+		Clustered: s.clustered, Device: db.Device, ing: db.ing, snap: s,
+	}
 }
 
 // Epoch returns the version this DB serves: 0 for the loaded base, counting

@@ -26,8 +26,6 @@ type Planner struct {
 	// Log collects EXPLAIN-style decisions.
 	Log []string
 
-	res        *core.Resolver
-	binMaps    map[string]map[int64]uint64
 	scanChoice map[*Scan]*useChoice
 	alignment  map[*Join]*sharedPair
 	joinPairs  map[*Join][]sharedPair
@@ -50,18 +48,10 @@ func NewPlanner(db *DB, ctx *engine.Context) *Planner {
 		Ctx:                  ctx,
 		PropagationThreshold: 300_000,
 		PreExecRowCap:        65_536,
-		binMaps:              make(map[string]map[int64]uint64),
 		scanChoice:           make(map[*Scan]*useChoice),
 		alignment:            make(map[*Join]*sharedPair),
 		joinPairs:            make(map[*Join][]sharedPair),
 	}
-}
-
-func (p *Planner) resolver() *core.Resolver {
-	if p.res == nil {
-		p.res = core.NewResolver(p.DB.Schema, p.DB.Tables)
-	}
-	return p.res
 }
 
 func (p *Planner) logf(format string, args ...any) {
@@ -659,7 +649,6 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 		scratch := &Planner{
 			DB: p.DB, Ctx: &engine.Context{},
 			PropagationThreshold: 0, PreExecRowCap: p.PreExecRowCap,
-			binMaps:    p.binMaps,
 			scanChoice: map[*Scan]*useChoice{},
 			alignment:  map[*Join]*sharedPair{},
 			joinPairs:  map[*Join][]sharedPair{},

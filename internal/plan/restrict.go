@@ -2,6 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"bdcc/internal/core"
 	"bdcc/internal/expr"
@@ -220,16 +222,63 @@ func (p *Planner) binsForKeyValues(u *core.DimensionUse, probeCol string, vals [
 	return bins, nil
 }
 
-// valueBinMap returns (building and caching on first use) the map from hop
-// h's reference key value to the dimension bin reached over the rest of the
-// use's path.
+// binIndex holds the hop-key → dimension-bin maps of one immutable DB
+// version (the loaded base, or one published ingest epoch). Maps depend
+// only on the version's tables, so every planner over the version shares
+// them; each (dimension, foreign key) map is built once, on first use.
+type binIndex struct {
+	mu   sync.Mutex
+	maps map[string]*binMap
+	// builds counts completed map builds (read by tests).
+	builds atomic.Int64
+}
+
+type binMap struct {
+	once sync.Once
+	m    map[int64]uint64
+	err  error
+}
+
+// versionIndex returns the value→bin index of the version db serves: a pinned
+// snapshot's epoch, otherwise the loaded base.
+func (db *DB) versionIndex() *binIndex {
+	if db.snap != nil {
+		return &db.snap.bins
+	}
+	if x := db.bins.Load(); x != nil {
+		return x
+	}
+	db.bins.CompareAndSwap(nil, &binIndex{})
+	return db.bins.Load()
+}
+
+// valueBinMap returns the map from hop h's reference key value to the
+// dimension bin reached over the rest of the use's path, building it on the
+// version's first request.
 func (p *Planner) valueBinMap(u *core.DimensionUse, hop int) (map[int64]uint64, error) {
 	fk := p.DB.Schema.FK(u.Path[hop])
 	key := u.Dim.Name + "|" + fk.Name
-	if m, ok := p.binMaps[key]; ok {
-		return m, nil
+	x := p.DB.versionIndex()
+	x.mu.Lock()
+	if x.maps == nil {
+		x.maps = make(map[string]*binMap)
 	}
-	ref, ok := p.DB.Tables[fk.RefTable]
+	e := x.maps[key]
+	if e == nil {
+		e = &binMap{}
+		x.maps[key] = e
+	}
+	x.mu.Unlock()
+	e.once.Do(func() {
+		e.m, e.err = buildValueBinMap(p.DB, u, hop)
+		x.builds.Add(1)
+	})
+	return e.m, e.err
+}
+
+func buildValueBinMap(db *DB, u *core.DimensionUse, hop int) (map[int64]uint64, error) {
+	fk := db.Schema.FK(u.Path[hop])
+	ref, ok := db.Tables[fk.RefTable]
 	if !ok {
 		return nil, fmt.Errorf("plan: no stored table %q", fk.RefTable)
 	}
@@ -240,21 +289,23 @@ func (p *Planner) valueBinMap(u *core.DimensionUse, hop int) (map[int64]uint64, 
 	if refCol.Kind != vector.Int64 {
 		return nil, nil
 	}
-	hostRows, err := p.resolver().HostRows(fk.RefTable, u.Path[hop+1:])
+	hostRows, err := core.NewResolver(db.Schema, db.Tables).HostRows(fk.RefTable, u.Path[hop+1:])
 	if err != nil {
 		return nil, err
 	}
 	dim := u.Dim
-	host := p.DB.Tables[dim.Table]
-	hostKeys, err := core.KeyValues(host, dim.Key)
+	hostKeys, err := core.KeyValues(db.Tables[dim.Table], dim.Key)
 	if err != nil {
 		return nil, err
 	}
+	hostBins := make([]uint64, len(hostKeys))
+	for i, k := range hostKeys {
+		hostBins[i] = dim.BinOf(k)
+	}
 	m := make(map[int64]uint64, len(refCol.I64))
 	for i, v := range refCol.I64 {
-		m[v] = dim.BinOf(hostKeys[hostRows[i]])
+		m[v] = hostBins[hostRows[i]]
 	}
-	p.binMaps[key] = m
 	return m, nil
 }
 

@@ -31,7 +31,7 @@
 //     net.Pipe — the real wire protocol with only the network modeled.
 //   - Dial / DialSet: the same client over real TCP connections to
 //     bdccworker daemons (docs/OPERATIONS.md covers deployment).
-//   - NewFailover (failover.go): unit-level retry across a set — failed
+//   - failover (failover.go): unit-level retry across a set — failed
 //     units reroute to surviving backends, excluding failed attempts; scan
 //     units are placement-pinned and instead retry on a re-admitted home
 //     worker or re-scan on the coordinator's full copy.
@@ -336,17 +336,6 @@ func (s *Set) ScanIO() []iosim.Stats {
 		out[i] = a.Stats()
 	}
 	return out
-}
-
-// ResetScanIO clears the per-worker scan accountants (between benchmark
-// repetitions sharing one set).
-func (s *Set) ResetScanIO() {
-	s.mu.Lock()
-	accts := s.scanAccts
-	s.mu.Unlock()
-	for _, a := range accts {
-		a.Reset()
-	}
 }
 
 // BalanceBySize switches the set's placement policy from group-hash to
