@@ -135,7 +135,7 @@ func BenchmarkPlan(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					env := tpch.NewEnv(db)
+					env := tpch.NewEnvOpts(db, tpch.RunOptions{})
 					node, err := q.Build(env)
 					if err != nil {
 						b.Fatal(err)

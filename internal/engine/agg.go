@@ -657,10 +657,8 @@ type StreamAggregate struct {
 
 	schema  expr.Schema
 	keyIdx  []int
-	enc     *keyEncoder
-	curKey  []byte
 	haveKey bool
-	keyRow  *Buffer
+	keyRow  *Buffer // the current group's key, row 0
 	states  []aggState
 	argVecs []*vector.Vector
 	out     *vector.Batch
@@ -694,7 +692,6 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 		}
 		s.schema = append(s.schema, expr.ColMeta{Name: a.Name, Kind: a.resultKind()})
 	}
-	s.enc = newKeyEncoder(s.keyIdx)
 	s.keyRow = NewBuffer(keySchema)
 	s.states = make([]aggState, len(s.Aggs))
 	s.argVecs = make([]*vector.Vector, len(s.Aggs))
@@ -778,12 +775,10 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 			keyBatch.Cols[c] = b.Cols[ki]
 		}
 		for r := 0; r < b.Len(); r++ {
-			key := s.enc.encode(b, r)
-			if !s.haveKey || string(key) != string(s.curKey) {
+			if !s.haveKey || !s.sameKey(&keyBatch, r) {
 				if s.haveKey {
 					s.emitGroup()
 				}
-				s.curKey = append(s.curKey[:0], key...)
 				s.haveKey = true
 				s.keyRow.AppendRow(&keyBatch, r)
 			}
@@ -815,6 +810,30 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 			return s.out, nil
 		}
 	}
+}
+
+// sameKey reports whether row r of the key columns equals the current
+// group's key. Floats compare by vector.FloatKeyBits, so -0 and +0 group
+// together.
+func (s *StreamAggregate) sameKey(keys *vector.Batch, r int) bool {
+	for c, col := range keys.Cols {
+		cur := s.keyRow.Col(c)
+		switch col.Kind {
+		case vector.Int64:
+			if col.I64[r] != cur.I64[0] {
+				return false
+			}
+		case vector.Float64:
+			if vector.FloatKeyBits(col.F64[r]) != vector.FloatKeyBits(cur.F64[0]) {
+				return false
+			}
+		case vector.String:
+			if col.Str[r] != cur.Str[0] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Close implements Operator.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -323,6 +324,58 @@ func TestStreamAggregateMatchesHash(t *testing.T) {
 	want := runAll(t, ha, true)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("stream agg disagrees with hash agg")
+	}
+
+	// A multi-column Int64/Float64/String key over several batches, groups
+	// spanning batch boundaries, with -0 and +0 mixed inside one group.
+	type row struct {
+		a int64
+		f float64
+		s string
+		v int64
+	}
+	floats := []float64{-1.5, math.Copysign(0, -1), 0, 2.25}
+	rows := make([]row, 3000)
+	for i := range rows {
+		rows[i] = row{rng.Int63n(3), floats[rng.Intn(len(floats))], []string{"", "x", "yy"}[rng.Intn(3)], rng.Int63n(1000)}
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		x, y := rows[i], rows[j]
+		if x.a != y.a {
+			return x.a < y.a
+		}
+		if x.f != y.f { // -0 == +0: zeros stay one run, in input order
+			return x.f < y.f
+		}
+		return x.s < y.s
+	})
+	mschema := expr.Schema{{Name: "a", Kind: vector.Int64}, {Name: "f", Kind: vector.Float64},
+		{Name: "s", Kind: vector.String}, {Name: "v", Kind: vector.Int64}}
+	msrc := func() *source {
+		src := &source{schema: mschema}
+		for lo := 0; lo < len(rows); lo += 700 {
+			b := vector.NewBatch(mschema.Kinds())
+			for _, r := range rows[lo:min(lo+700, len(rows))] {
+				b.Cols[0].AppendInt64(r.a)
+				b.Cols[1].AppendFloat64(r.f)
+				b.Cols[2].AppendString(r.s)
+				b.Cols[3].AppendInt64(r.v)
+			}
+			src.batches = append(src.batches, b)
+		}
+		return src
+	}
+	keys := []string{"a", "f", "s"}
+	maggs := func() []AggSpec {
+		return []AggSpec{{Name: "s", Func: AggSum, Arg: expr.C("v")}, {Name: "c", Func: AggCount}}
+	}
+	got = runAll(t, &StreamAggregate{Child: msrc(), GroupBy: keys, Aggs: maggs()}, true)
+	want = runAll(t, &HashAggregate{Child: msrc(), GroupBy: keys, Aggs: maggs()}, true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("multi-column stream agg disagrees with hash agg:\n got %v\nwant %v", got, want)
+	}
+	if len(got) != 3*3*3 {
+		t.Fatalf("%d groups, want 27 (-0 and +0 form one group)", len(got))
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package serve is the front-end daemon layer: it accepts concurrent query
-// sessions over the same framed wire transport the shard backends speak
-// (docs/WIRE.md, client protocol section), admits each query onto a bounded
-// number of process-lifetime scheduler pools behind an admission queue,
-// governs their combined operator memory with one process-global budget,
-// and answers every request with a byte-exact encoded result. The engine,
+// sessions over the framed transport of internal/wire, which the shard
+// backends speak too (docs/WIRE.md, client protocol section), admits each
+// query onto a bounded number of process-lifetime scheduler pools behind an
+// admission queue, governs their combined operator memory with one
+// process-global budget, and answers every request with a byte-exact
+// encoded result. The engine,
 // planner, and catalog know nothing of it: serve composes them through the
 // same engine.Context seam a single-query run uses, which is what keeps
 // daemon results byte-identical to serial single-box runs.
@@ -13,32 +14,28 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"time"
 
 	"bdcc/internal/engine"
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
 )
 
-// Protocol identity of the client protocol: same frame layout as the worker
-// protocol (u32 length, u64 id, u8 type), its own magic so a client cannot
-// mistake a worker for a daemon, and its own version counter. The hello
-// exchange mirrors the worker protocol's v3 shape: magic + u16 version +
-// u16 token length + token, answered (only after the token verifies) with
-// u16 version + u16 pool count. Version 2 tracks the batch wire form gaining
-// its per-column encoding tag byte (result batches cross in that form, so an
-// old client would misparse them).
+// Protocol identity of the client protocol: the frames and the hello
+// exchange are internal/wire's, shared with the worker protocol, under its
+// own magic so a client cannot mistake a worker for a daemon, and its own
+// version counter. The hello reply announces the daemon's pool count.
+// Version 2 tracks the batch wire form gaining its per-column encoding tag
+// byte (result batches cross in that form, so an old client would misparse
+// them).
 const (
 	ProtoMagic   = "BDCQ"
 	ProtoVersion = 2
 )
 
 // Client-protocol frame types, numbered after the worker protocol's 1-7 so
-// the one WIRE.md frame table stays unambiguous.
+// the one WIRE.md frame table stays unambiguous. Type 1 is the hello both
+// protocols share (wire.FrameHello).
 const (
-	frameHello      = byte(1)  // both directions at session start
 	frameQuery      = byte(8)  // client → daemon: run one query; id = request id
 	frameResult     = byte(9)  // daemon → client: status + result; id = request id
 	frameStats      = byte(10) // client → daemon: admission/memory counters
@@ -52,18 +49,6 @@ const (
 	statusRejected = byte(2) // payload: reason (admission or memory rejection)
 )
 
-const frameHeader = 4 + 8 + 1
-
-// maxFramePayload mirrors the worker protocol's allocation bound.
-const maxFramePayload = 1 << 30
-
-// handshakeTimeout bounds the hello exchange on both sides.
-const handshakeTimeout = 10 * time.Second
-
-// frameWriteTimeout bounds every frame write, so a stalled peer becomes a
-// write error instead of a parked goroutine.
-const frameWriteTimeout = 2 * time.Minute
-
 // ErrRejected marks a query the daemon refused to run — the admission queue
 // was full, the bounded queue wait expired, or the process memory budget
 // could not cover it — as opposed to a query that ran and failed. Clients
@@ -72,35 +57,6 @@ const frameWriteTimeout = 2 * time.Minute
 var ErrRejected = errors.New("serve: query rejected")
 
 var errClosed = errors.New("serve: closed")
-
-func frameBuf() []byte { return make([]byte, frameHeader) }
-
-func writeFrame(conn net.Conn, id uint64, typ byte, frame []byte) error {
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
-	binary.LittleEndian.PutUint64(frame[4:], id)
-	frame[12] = typ
-	conn.SetWriteDeadline(time.Now().Add(frameWriteTimeout))
-	_, err := conn.Write(frame)
-	return err
-}
-
-func readFrame(conn net.Conn) (id uint64, typ byte, payload []byte, err error) {
-	var hdr [frameHeader]byte
-	if _, err = io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	id = binary.LittleEndian.Uint64(hdr[4:])
-	typ = hdr[12]
-	if n > maxFramePayload {
-		return 0, 0, nil, fmt.Errorf("serve: frame claims %d-byte payload (cap %d)", n, maxFramePayload)
-	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(conn, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	return id, typ, payload, nil
-}
 
 // encodeQuery lays out a frameQuery payload: u16 scheme length + scheme,
 // u16 query length + query.

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"bdcc/internal/expr"
 	"bdcc/internal/iosim"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // stubResult builds a small multi-kind result whose values depend on the
@@ -218,6 +221,60 @@ func TestAuthToken(t *testing.T) {
 	}
 	if _, err := Dial(addr, ""); err == nil {
 		t.Fatal("missing token accepted")
+	}
+}
+
+// TestHelloVersionMismatch mirrors the worker protocol's versioning rule
+// for the client protocol: the daemon answers a mismatched hello with its
+// real version and drops the session, and Dial against a peer speaking
+// another version fails with an error naming both versions.
+func TestHelloVersionMismatch(t *testing.T) {
+	_, addr, _ := startServer(t, Config{Pools: 1})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := append(wire.Buf(), ProtoMagic...)
+	hello = binary.LittleEndian.AppendUint16(hello, ProtoVersion+41)
+	hello = binary.LittleEndian.AppendUint16(hello, 0) // no token
+	if err := wire.Write(conn, 0, wire.FrameHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, typ, payload, err := wire.Read(conn, wire.MaxPayload)
+	if err != nil {
+		t.Fatalf("no hello reply before drop: %v", err)
+	}
+	if typ != wire.FrameHello || len(payload) < 2 || binary.LittleEndian.Uint16(payload) != ProtoVersion {
+		t.Fatalf("hello reply type %d payload %v, want the daemon's real version %d", typ, payload, ProtoVersion)
+	}
+	if _, _, _, err := wire.Read(conn, wire.MaxPayload); err != io.EOF {
+		t.Fatalf("daemon kept a mismatched session open (read returned %v, want EOF)", err)
+	}
+
+	// The dialing side: a peer that speaks the next version.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		wire.Accept(c, ProtoMagic, ProtoVersion+1, "", 1)
+		c.Close()
+	}()
+	_, err = Dial(l.Addr().String(), "")
+	if err == nil {
+		t.Fatal("Dial succeeded against a peer of another protocol version")
+	}
+	for _, want := range []string{fmt.Sprintf("version %d", ProtoVersion+1), fmt.Sprintf("speaks %d", ProtoVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Dial error %q does not name both versions (missing %q)", err, want)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"crypto/subtle"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"bdcc/internal/engine"
+	"bdcc/internal/wire"
 )
 
 // Handler runs one admitted query on the prepared context and returns its
@@ -85,18 +84,16 @@ type Server struct {
 	pools  chan *engine.Sched
 	owned  []*engine.Sched
 
+	host    *wire.Host
+	release sync.Once
+
 	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
-	closed    bool
 	queued    int
 	active    int
 	admitted  int64
 	queuedTot int64
 	rejected  int64
 	done      int64
-
-	wg sync.WaitGroup
 }
 
 // NewServer assembles a daemon from cfg; Start serving with Serve or
@@ -108,8 +105,8 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		pools: make(chan *engine.Sched, cfg.Pools),
-		conns: make(map[net.Conn]struct{}),
 	}
+	s.host = wire.NewHost(s.session)
 	if cfg.MemBudget > 0 {
 		s.budget = engine.NewMemBudget(cfg.MemBudget, cfg.MemWait)
 	}
@@ -159,11 +156,10 @@ func (s *Server) admit() (*engine.Sched, error) {
 		return p, nil
 	default:
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.host.Closed() {
 		return nil, errClosed
 	}
+	s.mu.Lock()
 	if s.queued >= s.cfg.QueueCap {
 		s.rejected++
 		s.mu.Unlock()
@@ -248,87 +244,25 @@ func (s *Server) runQuery(scheme, query string) (*engine.Result, error) {
 
 // Serve accepts client sessions on l until the listener fails or the server
 // closes. It returns nil after Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return errClosed
-	}
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.ServeConn(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.host.Serve(l) }
 
 // ServeConn starts one client session over an established connection and
 // returns immediately.
-func (s *Server) ServeConn(conn net.Conn) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		s.session(conn)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-}
+func (s *Server) ServeConn(conn net.Conn) { s.host.ServeConn(conn) }
 
 // session is one client connection's lifetime: authenticated hello, then a
 // frame loop running each query on its own goroutine (a session is a
 // multiplexed pipe, not a serial one — concurrent requests from one client
 // interleave freely), joined before the session ends.
 func (s *Server) session(conn net.Conn) {
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	_, typ, payload, err := readFrame(conn)
-	if err != nil || typ != frameHello || len(payload) < len(ProtoMagic)+4 ||
-		string(payload[:len(ProtoMagic)]) != ProtoMagic {
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	// Authenticate before replying, exactly like the worker protocol: a
-	// wrong-secret peer learns nothing, not even the version.
-	var token []byte
-	if n := int(binary.LittleEndian.Uint16(payload[len(ProtoMagic)+2:])); len(payload) >= len(ProtoMagic)+4+n {
-		token = payload[len(ProtoMagic)+4 : len(ProtoMagic)+4+n]
-	}
-	if subtle.ConstantTimeCompare(token, []byte(s.cfg.AuthToken)) != 1 {
+	if wire.Accept(conn, ProtoMagic, ProtoVersion, s.cfg.AuthToken, uint16(s.cfg.Pools)) != nil {
 		return
 	}
 	var wmu sync.Mutex
-	reply := binary.LittleEndian.AppendUint16(frameBuf(), ProtoVersion)
-	reply = binary.LittleEndian.AppendUint16(reply, uint16(s.cfg.Pools))
-	if writeFrame(conn, 0, frameHello, reply) != nil {
-		return
-	}
-	if v := binary.LittleEndian.Uint16(payload[len(ProtoMagic):]); v != ProtoVersion {
-		return
-	}
-
 	var requests sync.WaitGroup
 	defer requests.Wait()
 	for {
-		id, typ, payload, err := readFrame(conn)
+		id, typ, payload, err := wire.Read(conn, wire.MaxPayload)
 		if err != nil {
 			conn.Close() // unblock request goroutines parked writing
 			return
@@ -337,7 +271,7 @@ func (s *Server) session(conn net.Conn) {
 		case frameStats:
 			st, _ := json.Marshal(s.Stats())
 			wmu.Lock()
-			writeFrame(conn, id, frameStatsReply, append(frameBuf(), st...))
+			wire.Write(conn, id, frameStatsReply, append(wire.Buf(), st...))
 			wmu.Unlock()
 		case frameQuery:
 			scheme, query, derr := decodeQuery(payload)
@@ -349,15 +283,15 @@ func (s *Server) session(conn net.Conn) {
 			go func(id uint64) {
 				defer requests.Done()
 				res, err := s.runQuery(scheme, query)
-				out := frameBuf()
+				out := wire.Buf()
 				switch {
 				case err == nil:
 					out = append(out, statusOK)
 					out = encodeResult(res, out)
-					if len(out)-frameHeader > maxFramePayload {
-						out = append(frameBuf(), statusError)
+					if n := len(out) - wire.HeaderSize; n > wire.MaxPayload {
+						out = append(wire.Buf(), statusError)
 						out = append(out, fmt.Sprintf("serve: result encodes to %d bytes, over the %d frame cap",
-							len(out)-frameHeader, maxFramePayload)...)
+							n, wire.MaxPayload)...)
 					}
 				case errors.Is(err, ErrRejected):
 					out = append(out, statusRejected)
@@ -367,7 +301,7 @@ func (s *Server) session(conn net.Conn) {
 					out = append(out, err.Error()...)
 				}
 				wmu.Lock()
-				writeFrame(conn, id, frameResult, out)
+				wire.Write(conn, id, frameResult, out)
 				wmu.Unlock()
 			}(id)
 		default:
@@ -381,28 +315,11 @@ func (s *Server) session(conn net.Conn) {
 // queries finish against their closed connections and unwind), request
 // goroutines are joined, and the owned scheduler pools are released.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	listeners := s.listeners
-	s.listeners = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, l := range listeners {
-		l.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	for _, p := range s.owned {
-		p.Release()
-	}
+	s.host.Close(0)
+	s.release.Do(func() {
+		for _, p := range s.owned {
+			p.Release()
+		}
+	})
 	return nil
 }

@@ -51,7 +51,7 @@ func TestProbeBackoffBoundedAndJittered(t *testing.T) {
 func TestPingPong(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv, addr := startWorker(t, 1)
-	b, err := Dial(addr, nil)
+	b, err := Dial(addr, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestCloseWithinAbandonsWedgedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(l)
-	b, err := Dial(l.Addr().String(), nil)
+	b, err := Dial(l.Addr().String(), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,11 +12,15 @@ import (
 	"bdcc/internal/engine"
 	"bdcc/internal/iosim"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // This file is the network backend: the framed byte-stream protocol between
 // a query (client half, engine.Backend) and a worker (Server half, the core
-// of cmd/bdccworker), plus Dial for real TCP connections. The simulated
+// of cmd/bdccworker), plus Dial for real TCP connections. Frames, the hello
+// exchange and the accept/drain loop are internal/wire's, shared with the
+// client protocol of internal/serve; this file adds the worker protocol's
+// frame types and session logic on top. The simulated
 // remote (sim.go) runs exactly this client against exactly this server over
 // an in-process net.Pipe, so the simulation and the real network share one
 // protocol implementation end to end. The full wire specification lives in
@@ -46,45 +48,19 @@ const (
 	ProtoVersion = 5
 )
 
-// Transport frame types. Every frame is one message on the stream:
+// Transport frame types. Every frame is one wire frame on the stream:
 // u32 payload length, u64 id, u8 type, payload.
 const (
-	frameHello     = byte(1) // both directions at session start: version handshake
-	frameSetup     = byte(2) // query → worker: one plan fragment; id = fragment id
-	frameUnit      = byte(3) // query → worker: one group unit; id = unit id
-	frameBatch     = byte(4) // worker → query: one result batch; id = unit id
-	frameDone      = byte(5) // worker → query: unit finished; payload = status (+stats or error)
-	framePing      = byte(6) // query → worker: liveness probe; id = ping id
-	framePong      = byte(7) // worker → query: ping echo; id = the ping's id
-	framePartTable = byte(8) // query → worker: partition manifest; id = partition id
-	framePartData  = byte(9) // query → worker: partition row batch; id = partition id
+	frameHello     = wire.FrameHello // both directions at session start: version handshake
+	frameSetup     = byte(2)         // query → worker: one plan fragment; id = fragment id
+	frameUnit      = byte(3)         // query → worker: one group unit; id = unit id
+	frameBatch     = byte(4)         // worker → query: one result batch; id = unit id
+	frameDone      = byte(5)         // worker → query: unit finished; payload = status (+stats or error)
+	framePing      = byte(6)         // query → worker: liveness probe; id = ping id
+	framePong      = byte(7)         // worker → query: ping echo; id = the ping's id
+	framePartTable = byte(8)         // query → worker: partition manifest; id = partition id
+	framePartData  = byte(9)         // query → worker: partition row batch; id = partition id
 )
-
-const frameHeader = 4 + 8 + 1
-
-// maxFramePayload bounds what a peer can make us allocate from a 13-byte
-// header: well above any real unit (a group's batches), well below an
-// OOM-by-garbage. A frame claiming more is a protocol violation and drops
-// the session; the send side checks it first, failing only the oversized
-// unit — a work error, not a backend failure, so failover does not cascade
-// it through the set (see docs/WIRE.md).
-const maxFramePayload = 1 << 30
-
-// handshakeTimeout bounds Dial's connect and the hello exchange, so one
-// black-holed address or non-protocol listener fails the set instead of
-// hanging the query at planning.
-const handshakeTimeout = 10 * time.Second
-
-// frameWriteTimeout bounds every single frame write. A peer that is alive
-// at the TCP level but not consuming (a stopped process, a stalled
-// client) would otherwise park the writer forever once the transport
-// window fills — on the query side that blocks the feeder under wmu with
-// failover never triggering, on the worker side it parks unit tasks on
-// the daemon's shared scheduler and starves every other session. With the
-// deadline, a stall becomes a write error: the query side reroutes
-// (ErrBackendDown), the worker side abandons the stalled session's unit.
-// Generous — a 1 GiB frame crosses a 1 Gbps link in ~10 s.
-const frameWriteTimeout = 2 * time.Minute
 
 // ErrBackendDown marks transport-level backend failures — refused dials,
 // connection loss, protocol corruption — as opposed to unit work errors,
@@ -94,51 +70,6 @@ const frameWriteTimeout = 2 * time.Minute
 var ErrBackendDown = errors.New("shard: backend down")
 
 var errClosed = errors.New("shard: backend closed")
-
-// frameBuf returns a payload buffer with the frame header reserved up
-// front, so encoders append payload bytes directly behind it and writeFrame
-// ships the single buffer with no second copy.
-func frameBuf() []byte { return make([]byte, frameHeader) }
-
-// writeFrame patches the reserved header of frame (a frameBuf-based buffer
-// whose payload starts at frameHeader) and sends it as one message on conn;
-// acct, when non-nil, charges the message to the network model. Callers
-// hold their direction's write mutex (one frame at a time per direction).
-func writeFrame(conn net.Conn, acct *iosim.Accountant, id uint64, typ byte, frame []byte) error {
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
-	binary.LittleEndian.PutUint64(frame[4:], id)
-	frame[12] = typ
-	if acct != nil {
-		acct.AddRun(1, int64(len(frame)))
-	}
-	conn.SetWriteDeadline(time.Now().Add(frameWriteTimeout))
-	_, err := conn.Write(frame)
-	return err
-}
-
-// readFrame reads one framed message from conn, charging it to acct when
-// non-nil (the query side meters both directions; the worker meters none,
-// so every message is charged exactly once).
-func readFrame(conn net.Conn, acct *iosim.Accountant) (id uint64, typ byte, payload []byte, err error) {
-	var hdr [frameHeader]byte
-	if _, err = io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	id = binary.LittleEndian.Uint64(hdr[4:])
-	typ = hdr[12]
-	if n > maxFramePayload {
-		return 0, 0, nil, fmt.Errorf("shard: frame claims %d-byte payload (cap %d)", n, maxFramePayload)
-	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(conn, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	if acct != nil {
-		acct.AddRun(1, int64(frameHeader)+int64(n))
-	}
-	return id, typ, payload, nil
-}
 
 // client is the query half of the protocol: an engine.Backend over one
 // framed byte-stream connection. It ships each operator's plan fragment
@@ -196,7 +127,7 @@ type call struct {
 }
 
 // newClient performs the hello exchange on conn (bounded by
-// handshakeTimeout), presenting token as the shared secret (empty = none
+// wire.HandshakeTimeout), presenting token as the shared secret (empty = none
 // configured), and starts the response reader. It owns conn from this point
 // on (Close closes it). A worker whose token differs drops the connection
 // without a reply, which surfaces here as a hello-reply read error.
@@ -211,40 +142,31 @@ func newClient(conn net.Conn, name, token string, acct *iosim.Accountant) (*clie
 		pending:    make(map[uint64]*call),
 		pings:      make(map[uint64]chan error),
 	}
-	if len(token) > 1<<16-1 {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s: auth token longer than the hello's u16 length field", name)
-	}
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	hello := append(frameBuf(), ProtoMagic...)
-	hello = binary.LittleEndian.AppendUint16(hello, ProtoVersion)
-	hello = binary.LittleEndian.AppendUint16(hello, uint16(len(token)))
-	hello = append(hello, token...)
-	if err := writeFrame(conn, c.net, 0, frameHello, hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s: hello: %w", name, err)
-	}
-	_, typ, payload, err := readFrame(conn, c.net)
+	workers, err := wire.Hello(conn, ProtoMagic, ProtoVersion, token, c.meter)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("shard: %s: hello reply: %w", name, err)
+		return nil, fmt.Errorf("shard: %s: %w", name, err)
 	}
-	conn.SetDeadline(time.Time{})
-	if typ != frameHello || len(payload) < 4 {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s: malformed hello reply (type %d, %d bytes)", name, typ, len(payload))
-	}
-	if v := binary.LittleEndian.Uint16(payload); v != ProtoVersion {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s speaks protocol version %d, this build speaks %d", name, v, ProtoVersion)
-	}
-	c.workers = int(binary.LittleEndian.Uint16(payload[2:]))
-	if c.workers < 1 {
-		c.workers = 1
-	}
+	c.workers = max(int(workers), 1)
 	c.loop.Add(1)
 	go c.readLoop()
 	return c, nil
+}
+
+// write ships one frame on the request stream, charging it to the network
+// model. Callers hold wmu.
+func (c *client) write(id uint64, typ byte, frame []byte) error {
+	c.meter(len(frame))
+	return wire.Write(c.conn, id, typ, frame)
+}
+
+// meter charges one message of n bytes to the network model. The query
+// side meters both directions and the worker none, so every message is
+// charged exactly once.
+func (c *client) meter(n int) {
+	if c.net != nil {
+		c.net.AddRun(1, int64(n))
+	}
 }
 
 // Workers implements engine.Backend, reporting the parallelism the worker
@@ -268,7 +190,7 @@ func (c *client) SetScanIO(fn func(runs, pages, bytes int64)) {
 // is skipped, so a plan-time ship racing a re-admission re-ship crosses the
 // wire once. saved[i] is batch i's raw-minus-encoded wire saving, credited
 // to the network accountant like any other compressed frame. The payload
-// slices are copied per send (writeFrame patches a header in place, and the
+// slices are copied per send (wire.Write patches a header in place, and the
 // caller shares the payloads across sessions).
 func (c *client) ShipPartition(key string, manifest []byte, data [][]byte, saved []int64) error {
 	c.mu.Lock()
@@ -284,13 +206,13 @@ func (c *client) ShipPartition(key string, manifest []byte, data [][]byte, saved
 	}
 	id := c.nextPart
 	c.nextPart++
-	if err := writeFrame(c.conn, c.net, id, framePartTable, append(frameBuf(), manifest...)); err != nil {
+	if err := c.write(id, framePartTable, append(wire.Buf(), manifest...)); err != nil {
 		c.wmu.Unlock()
 		c.fail(fmt.Errorf("ship partition manifest: %w", err))
 		return fmt.Errorf("%w: %s: ship partition: %v", ErrBackendDown, c.name, err)
 	}
 	for i, d := range data {
-		if err := writeFrame(c.conn, c.net, id, framePartData, append(frameBuf(), d...)); err != nil {
+		if err := c.write(id, framePartData, append(wire.Buf(), d...)); err != nil {
 			c.wmu.Unlock()
 			c.fail(fmt.Errorf("ship partition data: %w", err))
 			return fmt.Errorf("%w: %s: ship partition: %v", ErrBackendDown, c.name, err)
@@ -324,19 +246,19 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 	// large, and reroutes run RunGroup concurrently with the feeder); the
 	// fragment-id slot after the frame header is patched once the id is
 	// known.
-	pl := EncodeUnit(u, append(frameBuf(), make([]byte, 8)...))
+	pl := EncodeUnit(u, append(wire.Buf(), make([]byte, 8)...))
 	// net_ms is charged on the encoded frame; the raw-form difference is
 	// recorded as wire savings (query side meters both directions, so each
 	// message's saving is counted exactly once).
-	if saved := RawUnitWireSize(u) - (len(pl) - frameHeader - 8); saved > 0 && c.net != nil {
+	if saved := RawUnitWireSize(u) - (len(pl) - wire.HeaderSize - 8); saved > 0 && c.net != nil {
 		c.net.AddSaved(int64(saved))
 	}
-	if len(pl)-frameHeader > maxFramePayload {
+	if len(pl)-wire.HeaderSize > wire.MaxPayload {
 		// Failing only this unit — as a work error, not a backend failure —
 		// keeps an oversized group from cascading through every backend of
 		// the set via failover.
 		c.resolve(id, fmt.Errorf("shard: group %d encodes to %d bytes, over the %d frame cap",
-			u.GID, len(pl)-frameHeader, maxFramePayload))
+			u.GID, len(pl)-wire.HeaderSize, wire.MaxPayload))
 		return
 	}
 
@@ -347,13 +269,13 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 	c.wmu.Lock()
 	fid, known := c.frags[frag]
 	if !known {
-		fpl, err := EncodeFragment(frag, frameBuf())
+		fpl, err := EncodeFragment(frag, wire.Buf())
 		if err != nil {
 			c.wmu.Unlock()
 			c.resolve(id, err) // a plan bug, not a transport failure: no reroute
 			return
 		}
-		key := string(fpl[frameHeader:])
+		key := string(fpl[wire.HeaderSize:])
 		if aliased, ok := c.fragsByKey[key]; ok {
 			// Identical wire form already on the worker (another query's
 			// instantiation of the same cached plan): alias its id.
@@ -362,7 +284,7 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 		} else {
 			fid = c.nextFrag
 			c.nextFrag++
-			if err := writeFrame(c.conn, c.net, fid, frameSetup, fpl); err != nil {
+			if err := c.write(fid, frameSetup, fpl); err != nil {
 				c.wmu.Unlock()
 				c.fail(fmt.Errorf("ship fragment: %w", err))
 				return
@@ -374,8 +296,8 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 			c.fragsByKey[key] = fid
 		}
 	}
-	binary.LittleEndian.PutUint64(pl[frameHeader:], fid)
-	err := writeFrame(c.conn, c.net, id, frameUnit, pl)
+	binary.LittleEndian.PutUint64(pl[wire.HeaderSize:], fid)
+	err := c.write(id, frameUnit, pl)
 	c.wmu.Unlock()
 	if err != nil {
 		c.fail(fmt.Errorf("ship unit: %w", err))
@@ -399,7 +321,7 @@ func (c *client) Ping(timeout time.Duration) error {
 	c.pings[id] = ch
 	c.mu.Unlock()
 	c.wmu.Lock()
-	err := writeFrame(c.conn, c.net, id, framePing, frameBuf())
+	err := c.write(id, framePing, wire.Buf())
 	c.wmu.Unlock()
 	if err != nil {
 		// fail drains c.pings, so the select below resolves promptly.
@@ -428,12 +350,12 @@ func (c *client) Preload(frag *engine.Fragment) error {
 		c.wmu.Unlock()
 		return nil
 	}
-	fpl, err := EncodeFragment(frag, frameBuf())
+	fpl, err := EncodeFragment(frag, wire.Buf())
 	if err != nil {
 		c.wmu.Unlock()
 		return err
 	}
-	key := string(fpl[frameHeader:])
+	key := string(fpl[wire.HeaderSize:])
 	if aliased, ok := c.fragsByKey[key]; ok {
 		c.frags[frag] = aliased
 		c.wmu.Unlock()
@@ -441,7 +363,7 @@ func (c *client) Preload(frag *engine.Fragment) error {
 	}
 	fid := c.nextFrag
 	c.nextFrag++
-	werr := writeFrame(c.conn, c.net, fid, frameSetup, fpl)
+	werr := c.write(fid, frameSetup, fpl)
 	if werr == nil {
 		c.frags[frag] = fid
 		c.fragsByKey[key] = fid
@@ -518,11 +440,12 @@ func (c *client) fail(err error) {
 func (c *client) readLoop() {
 	defer c.loop.Done()
 	for {
-		id, typ, payload, err := readFrame(c.conn, c.net)
+		id, typ, payload, err := wire.Read(c.conn, wire.MaxPayload)
 		if err != nil {
 			c.fail(err)
 			return
 		}
+		c.meter(wire.HeaderSize + len(payload))
 		if typ != frameBatch && typ != frameDone && typ != framePong {
 			c.fail(fmt.Errorf("query side received frame type %d", typ))
 			return
@@ -619,18 +542,14 @@ func (c *client) Close() error {
 }
 
 // Dial connects to a bdccworker daemon at addr (host:port), performs the
-// hello exchange, and returns the connection as an engine.Backend. Dial
-// failures are wrapped in ErrBackendDown so a set built around survivors
-// can treat an unreachable worker like a lost one.
-func Dial(addr string, acct *iosim.Accountant) (engine.Backend, error) {
-	return DialToken(addr, "", acct)
-}
-
-// DialToken is Dial presenting a shared-secret auth token in the hello
-// (empty = no token). A token-mismatched worker drops the connection
-// without a reply, which surfaces as an ErrBackendDown-wrapped dial error.
-func DialToken(addr, token string, acct *iosim.Accountant) (engine.Backend, error) {
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+// hello exchange presenting token as the shared secret (empty = none), and
+// returns the connection as an engine.Backend charging its traffic to acct
+// (nil = unmetered). Connect failures are wrapped in ErrBackendDown so a
+// set built around survivors can treat an unreachable worker like a lost
+// one. A token-mismatched worker drops the connection without a reply,
+// which surfaces as a hello-reply read error.
+func Dial(addr, token string, acct *iosim.Accountant) (engine.Backend, error) {
+	conn, err := net.DialTimeout("tcp", addr, wire.HandshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrBackendDown, addr, err)
 	}
@@ -662,13 +581,8 @@ type Server struct {
 	// or wedge a session at a deterministic point.
 	OnUnitStart func()
 
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
-	closed    bool
-
+	host      *wire.Host
 	unitsDone atomic.Int64
-	wg        sync.WaitGroup
 	release   sync.Once
 }
 
@@ -682,8 +596,8 @@ func NewServer(workers int) *Server {
 	s := &Server{
 		sched: engine.NewSched(workers),
 		mem:   &engine.MemTracker{},
-		conns: make(map[net.Conn]struct{}),
 	}
+	s.host = wire.NewHost(s.session)
 	s.sched.Retain()
 	return s
 }
@@ -715,51 +629,12 @@ func (s *Server) UnitsDone() int64 { return s.unitsDone.Load() }
 // Serve accepts connections on l until the listener fails or the server is
 // closed, serving each connection as an independent session. It returns nil
 // after Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return errClosed
-	}
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.ServeConn(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.host.Serve(l) }
 
 // ServeConn starts one session over an established connection (net.Pipe end,
 // accepted socket) and returns immediately; the session runs on server-owned
 // goroutines until the peer closes or the server does.
-func (s *Server) ServeConn(conn net.Conn) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		s.session(conn)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-}
+func (s *Server) ServeConn(conn net.Conn) { s.host.ServeConn(conn) }
 
 // session is one connection's lifetime: hello exchange, then a setup/unit
 // frame loop spawning one scheduler task per unit, then teardown — the
@@ -767,45 +642,20 @@ func (s *Server) ServeConn(conn net.Conn) {
 // and in-flight tasks are joined before the session ends, so Close never
 // returns while a unit still runs.
 func (s *Server) session(conn net.Conn) {
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	_, typ, payload, err := readFrame(conn, nil)
-	if err != nil || typ != frameHello || len(payload) < len(ProtoMagic)+2 ||
-		string(payload[:len(ProtoMagic)]) != ProtoMagic {
-		return // not a protocol peer (or one that stalled); no reply owed
-	}
-	conn.SetReadDeadline(time.Time{})
-	// Authenticate before replying: a peer with the wrong shared secret
-	// learns nothing — not the version, not that anything listens here
-	// beyond TCP. The token field is v3's addition; a well-formed older
-	// hello simply has no token bytes, which only matches a server that
-	// requires none (and is then dropped by the version check below).
-	var token []byte
-	if rest := payload[len(ProtoMagic)+2:]; len(rest) >= 2 {
-		if n := int(binary.LittleEndian.Uint16(rest)); len(rest) >= 2+n {
-			token = rest[2 : 2+n]
-		}
-	}
-	if subtle.ConstantTimeCompare(token, []byte(s.token)) != 1 {
-		return // auth mismatch: drop without a reply
-	}
-	var wmu sync.Mutex
-	reply := binary.LittleEndian.AppendUint16(frameBuf(), ProtoVersion)
-	reply = binary.LittleEndian.AppendUint16(reply, uint16(s.sched.Workers()))
-	if writeFrame(conn, nil, 0, frameHello, reply) != nil {
+	// A wrong-secret, wrong-magic or stalled peer is dropped without a
+	// reply, a version-mismatched one right after it (the client reports
+	// the mismatch).
+	if wire.Accept(conn, ProtoMagic, ProtoVersion, s.token, uint16(s.sched.Workers())) != nil {
 		return
 	}
-	if v := binary.LittleEndian.Uint16(payload[len(ProtoMagic):]); v != ProtoVersion {
-		return // versions must match exactly; the client reports the mismatch
-	}
-
+	var wmu sync.Mutex
 	frags := make(map[uint64]*engine.Fragment)
 	fragErrs := make(map[uint64]error)
 	parts := newPartStore(s.partLimit)
 	var tasks sync.WaitGroup
 	defer tasks.Wait()
 	for {
-		id, typ, payload, err := readFrame(conn, nil)
+		id, typ, payload, err := wire.Read(conn, wire.MaxPayload)
 		if err != nil {
 			conn.Close() // unblock tasks parked writing before joining them
 			return
@@ -841,7 +691,7 @@ func (s *Server) session(conn net.Conn) {
 			}
 		case framePing:
 			wmu.Lock()
-			writeFrame(conn, nil, id, framePong, frameBuf())
+			wire.Write(conn, id, framePong, wire.Buf())
 			wmu.Unlock()
 		case frameUnit:
 			if len(payload) < 8 {
@@ -882,17 +732,17 @@ func (s *Server) session(conn net.Conn) {
 						if oversized != nil {
 							return // unit already failed; drop the rest
 						}
-						pl := b.Encode(frameBuf())
+						pl := b.Encode(wire.Buf())
 						// Mirror the client's send-side cap: shipping an
 						// over-cap result would make the client drop the
 						// session and failover cascade the same group —
 						// deterministically oversized — through every
 						// backend. Failing just this unit keeps it a work
 						// error.
-						if len(pl)-frameHeader > maxFramePayload {
+						if len(pl)-wire.HeaderSize > wire.MaxPayload {
 							if oversized == nil {
 								oversized = fmt.Errorf("shard: group %d result batch encodes to %d bytes, over the %d frame cap",
-									u.GID, len(pl)-frameHeader, maxFramePayload)
+									u.GID, len(pl)-wire.HeaderSize, wire.MaxPayload)
 							}
 							return
 						}
@@ -900,7 +750,7 @@ func (s *Server) session(conn net.Conn) {
 						// done frame below fails the same way and the read
 						// loop tears the session down.
 						wmu.Lock()
-						writeFrame(conn, nil, id, frameBatch, pl)
+						wire.Write(conn, id, frameBatch, pl)
 						wmu.Unlock()
 					})
 					if err == nil {
@@ -932,7 +782,7 @@ func (s *Server) finishUnit(conn net.Conn, wmu *sync.Mutex, id uint64, stats *sc
 	if s.OnUnitDone != nil {
 		s.OnUnitDone(n)
 	}
-	msg := frameBuf()
+	msg := wire.Buf()
 	switch {
 	case err != nil:
 		msg = append(msg, 1)
@@ -946,7 +796,7 @@ func (s *Server) finishUnit(conn net.Conn, wmu *sync.Mutex, id uint64, stats *sc
 		msg = append(msg, 0)
 	}
 	wmu.Lock()
-	writeFrame(conn, nil, id, frameDone, msg)
+	wire.Write(conn, id, frameDone, msg)
 	wmu.Unlock()
 }
 
@@ -956,7 +806,7 @@ func (s *Server) finishUnit(conn net.Conn, wmu *sync.Mutex, id uint64, stats *sc
 // workers), in-flight unit tasks and session goroutines are joined, and
 // the scheduler is released — a closed server leaves no goroutines behind.
 func (s *Server) Close() error {
-	_, err := s.shutdown(0)
+	_, err := s.CloseWithin(0)
 	return err
 }
 
@@ -967,49 +817,10 @@ func (s *Server) Close() error {
 // bounds its SIGTERM drain with this and exits, letting the OS reap the
 // wedged work. The scheduler is only released on a clean drain (abandoned
 // tasks may still be running on it); an abandoning caller is expected to
-// exit the process.
+// exit the process. d <= 0 waits for the drain forever.
 func (s *Server) CloseWithin(d time.Duration) (abandoned int, err error) {
-	return s.shutdown(d)
-}
-
-// shutdown is the shared teardown: d <= 0 waits for the drain forever.
-func (s *Server) shutdown(d time.Duration) (int, error) {
-	s.mu.Lock()
-	s.closed = true
-	listeners := s.listeners
-	s.listeners = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, l := range listeners {
-		l.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	if d > 0 {
-		drained := make(chan struct{})
-		go func() {
-			s.wg.Wait()
-			close(drained)
-		}()
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-drained:
-		case <-t.C:
-			s.mu.Lock()
-			n := len(s.conns)
-			s.mu.Unlock()
-			if n > 0 {
-				return n, nil
-			}
-			<-drained // the last session ended between the timeout and the count
-		}
-	} else {
-		s.wg.Wait()
+	if n := s.host.Close(d); n > 0 {
+		return n, nil
 	}
 	s.release.Do(s.sched.Release)
 	return 0, nil

@@ -15,6 +15,7 @@ import (
 	"bdcc/internal/expr"
 	"bdcc/internal/iosim"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // startWorker starts an in-process worker Server on a loopback TCP listener
@@ -358,7 +359,7 @@ func TestDialFailureIsBackendDown(t *testing.T) {
 	}
 	dead := l.Addr().String()
 	l.Close()
-	if _, err := Dial(dead, nil); !errors.Is(err, ErrBackendDown) {
+	if _, err := Dial(dead, "", nil); !errors.Is(err, ErrBackendDown) {
 		t.Fatalf("dial to a dead address returned %v, want ErrBackendDown", err)
 	}
 	srv, addr := startWorker(t, 1)
@@ -406,13 +407,13 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := append(frameBuf(), ProtoMagic...)
+	hello := append(wire.Buf(), ProtoMagic...)
 	hello = binary.LittleEndian.AppendUint16(hello, ProtoVersion+41)
-	if err := writeFrame(conn, nil, 0, frameHello, hello); err != nil {
+	if err := wire.Write(conn, 0, frameHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, typ, payload, err := readFrame(conn, nil)
+	_, typ, payload, err := wire.Read(conn, wire.MaxPayload)
 	if err != nil {
 		t.Fatalf("no hello reply before drop: %v", err)
 	}
@@ -420,7 +421,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatalf("hello reply type %d version %d, want the worker's real version %d",
 			typ, binary.LittleEndian.Uint16(payload), ProtoVersion)
 	}
-	if _, _, _, err := readFrame(conn, nil); err != io.EOF {
+	if _, _, _, err := wire.Read(conn, wire.MaxPayload); err != io.EOF {
 		t.Fatalf("worker kept a mismatched session open (read returned %v, want EOF)", err)
 	}
 }
@@ -468,7 +469,7 @@ func TestHelloAuthToken(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	addr := l.Addr().String()
 
-	b, err := DialToken(addr, "sesame", nil)
+	b, err := Dial(addr, "sesame", nil)
 	if err != nil {
 		t.Fatalf("matching token rejected: %v", err)
 	}
@@ -479,22 +480,59 @@ func TestHelloAuthToken(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := DialToken(addr, "wrong", nil); err == nil {
+	if _, err := Dial(addr, "wrong", nil); err == nil {
 		t.Fatal("wrong token produced a session")
 	}
-	if _, err := Dial(addr, nil); err == nil {
+	if _, err := Dial(addr, "", nil); err == nil {
 		t.Fatal("missing token produced a session")
 	}
 
 	// The reverse mismatch: a tokenless worker only accepts tokenless peers.
 	_, open := startWorker(t, 1)
-	if _, err := DialToken(open, "extra", nil); err == nil {
+	if _, err := Dial(open, "extra", nil); err == nil {
 		t.Fatal("unexpected token accepted by a tokenless worker")
 	}
-	if b, err := Dial(open, nil); err != nil {
+	if b, err := Dial(open, "", nil); err != nil {
 		t.Fatalf("tokenless dial to a tokenless worker: %v", err)
 	} else {
 		b.Close()
+	}
+}
+
+// TestHelloOversizedDropped pins the pre-auth allocation bound on a real
+// worker: a bare frame header claiming a 64 MiB hello, from a peer that has
+// not presented the worker's token, drops the connection at once instead
+// of making the worker allocate the claimed payload and hold it for the
+// handshake deadline.
+func TestHelloOversizedDropped(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(1)
+	srv.SetAuthToken("sesame")
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hdr := binary.LittleEndian.AppendUint32(nil, 64<<20)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0)
+	hdr = append(hdr, frameHello)
+	if _, err := conn.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("worker kept an oversized unauthenticated hello open (read returned %v, want EOF)", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("oversized hello made the worker allocate %d bytes", grew)
 	}
 }
 
@@ -504,7 +542,7 @@ func TestHelloAuthToken(t *testing.T) {
 // fragment id, including via Preload.
 func TestFragmentContentDedupe(t *testing.T) {
 	_, addr := startWorker(t, 1)
-	b, err := Dial(addr, nil)
+	b, err := Dial(addr, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

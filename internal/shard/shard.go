@@ -228,7 +228,7 @@ func DialSetConfig(addrs []string, dev iosim.Device, cfg SetConfig) (*Set, error
 	s := newSet(len(addrs), iosim.NewAccountant(dev))
 	slots := make([]*slot, len(addrs))
 	for i, addr := range addrs {
-		b, err := DialToken(addr, cfg.AuthToken, s.net)
+		b, err := Dial(addr, cfg.AuthToken, s.net)
 		if err != nil {
 			slots[i] = &slot{addr: addr, workers: 1}
 			continue

@@ -12,6 +12,7 @@ import (
 	"bdcc/internal/engine"
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // groupStream is a test operator producing a synthetic grouped stream:
@@ -453,7 +454,7 @@ func TestSimTransportCorruptionFailsFast(t *testing.T) {
 	// Inject garbage where the worker expects a setup or unit frame: an
 	// unknown frame type makes the worker drop the session.
 	s.client.wmu.Lock()
-	err := writeFrame(s.client.conn, nil, 99, 42, frameBuf())
+	err := wire.Write(s.client.conn, 99, 42, wire.Buf())
 	s.client.wmu.Unlock()
 	if err != nil {
 		t.Fatal(err)

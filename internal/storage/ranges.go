@@ -131,23 +131,6 @@ func (rs RowRanges) Morsels(rows, align int) []RowRanges {
 	return out
 }
 
-// Clamp restricts the set to [0, n).
-func (rs RowRanges) Clamp(n int) RowRanges {
-	var out RowRanges
-	for _, r := range rs {
-		if r.Start < 0 {
-			r.Start = 0
-		}
-		if r.End > n {
-			r.End = n
-		}
-		if r.End > r.Start {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a
